@@ -18,7 +18,7 @@
 //! With `--compare`, each `dominance@N` row also reports
 //! `speedup_vs_serial` (dominance@1 wall / dominance@N wall) and
 //! `oracle_call_ratio` (dominance@N calls / dominance@1 calls) — the
-//! two scaling invariants of the parallel oracle. `--baseline OLD.json`
+//! two scaling measures of the parallel oracle. `--baseline OLD.json`
 //! diffs the fresh run against a previous report and prints per-circuit
 //! wall/call regressions.
 //!
@@ -37,6 +37,7 @@ use xrta_circuits::{carry_skip_adder, iscas_rows, ripple_carry_adder};
 use xrta_core::{slice_cones, CacheStrategy};
 use xrta_network::Network;
 use xrta_resynth::{resynthesize, DelaySpec, ResynthOptions};
+use xrta_robust::jsonflat;
 use xrta_timing::UnitDelay;
 
 /// One (circuit, configuration) run for the table and the JSON report.
@@ -52,11 +53,8 @@ struct Record {
     oracle_calls: usize,
     cache_hits: usize,
     cache_hit_rate: f64,
-    steals: usize,
-    shard_contention: usize,
     batches: usize,
     batched_probes: usize,
-    spec_probes: usize,
     /// Output cones the incremental (delta) path would slice this
     /// circuit into.
     cones: usize,
@@ -134,17 +132,6 @@ fn run_resynth_rows() -> Vec<ResynthRecord> {
         .collect()
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 fn render_json(budget: Duration, records: &[Record], resynth: &[ResynthRecord]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{{");
@@ -173,12 +160,11 @@ fn render_json(budget: Duration, records: &[Record], resynth: &[ResynthRecord]) 
              \"threads\": {}, \"nontrivial\": {}, \"completed\": {}, \
              \"first_nontrivial_secs\": {}, \"wall_secs\": {:.4}, \
              \"oracle_calls\": {}, \"cache_hits\": {}, \"cache_hit_rate\": {:.4}, \
-             \"steals\": {}, \"shard_contention\": {}, \"batches\": {}, \
-             \"batched_probes\": {}, \"spec_probes\": {}, \
+             \"batches\": {}, \"batched_probes\": {}, \
              \"cones\": {}, \"cone_distinct\": {}, \"cone_dup_hits\": {}, \
              \"speedup_vs_serial\": {}, \"oracle_call_ratio\": {}, \
              \"peak_mem\": {}}}{}",
-            json_escape(&r.circuit),
+            jsonflat::escape(&r.circuit),
             r.config,
             match r.cache {
                 CacheStrategy::Exact => "exact",
@@ -192,11 +178,8 @@ fn render_json(budget: Duration, records: &[Record], resynth: &[ResynthRecord]) 
             r.oracle_calls,
             r.cache_hits,
             r.cache_hit_rate,
-            r.steals,
-            r.shard_contention,
             r.batches,
             r.batched_probes,
-            r.spec_probes,
             r.cones,
             r.cone_distinct,
             r.cone_dup_hits,
@@ -214,7 +197,7 @@ fn render_json(budget: Duration, records: &[Record], resynth: &[ResynthRecord]) 
             "    {{\"netlist\": \"{}\", \"worst_before\": {}, \"worst_after\": {}, \
              \"gain\": {}, \"chains_improved\": {}, \"verified\": {}, \
              \"wall_secs\": {:.4}}}{}",
-            json_escape(&r.netlist),
+            jsonflat::escape(&r.netlist),
             r.worst_before,
             r.worst_after,
             r.gain,
@@ -545,11 +528,8 @@ fn main() {
                                 oracle_calls: rep.oracle_calls,
                                 cache_hits: rep.cache_hits,
                                 cache_hit_rate: rep.cache_hit_rate,
-                                steals: rep.steals,
-                                shard_contention: rep.shard_contention,
                                 batches: rep.batches,
                                 batched_probes: rep.batched_probes,
-                                spec_probes: rep.spec_probes,
                                 cones,
                                 cone_distinct,
                                 cone_dup_hits: cones - cone_distinct,

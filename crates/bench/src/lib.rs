@@ -147,16 +147,10 @@ pub struct Approx2Report {
     pub cache_hit_rate: f64,
     /// Worker threads the search used.
     pub threads_used: usize,
-    /// Batches stolen by idle workers from a sibling's deque.
-    pub steals: usize,
-    /// Striped-cache lock acquisitions that hit a held stripe.
-    pub shard_contention: usize,
     /// Oracle batches executed (each shares one χ engine).
     pub batches: usize,
     /// Probes that rode a multi-rung batch (engine state reused).
     pub batched_probes: usize,
-    /// Cone probes solved speculatively ahead of the climb.
-    pub spec_probes: usize,
 }
 
 /// Runs the lattice-climbing algorithm (§4.3) under a wall-clock budget
@@ -213,11 +207,8 @@ pub fn run_approx2_with(
         cache_hits: r.cache_hits,
         cache_hit_rate: r.cache_hit_rate(),
         threads_used: r.threads_used,
-        steals: r.steals,
-        shard_contention: r.shard_contention,
         batches: r.batches,
         batched_probes: r.batched_probes,
-        spec_probes: r.spec_probes,
     }
 }
 

@@ -228,6 +228,25 @@ mod tests {
         }
     }
 
+    /// `.bench` text round-trips constant nodes: `write_bench` emits
+    /// them as zero-fanin `CONST0()`/`CONST1()` and `parse_bench` reads
+    /// them back into the same function.
+    #[test]
+    fn carry_select_round_trips_through_bench() {
+        use xrta_network::{parse_bench, write_bench};
+        let net = carry_select_adder(4, 2).unwrap();
+        let text = write_bench(&net);
+        assert!(text.contains("= CONST0()") && text.contains("= CONST1()"));
+        let back = parse_bench(&text).unwrap();
+        assert_eq!(back.inputs().len(), net.inputs().len());
+        assert_eq!(back.outputs().len(), net.outputs().len());
+        check_adder(&back, 4);
+        assert_eq!(
+            write_bench(&back).lines().skip(1).collect::<Vec<_>>(),
+            text.lines().skip(1).collect::<Vec<_>>()
+        );
+    }
+
     #[test]
     fn carry_skip_has_false_paths() {
         use xrta_chi::{EngineKind, FunctionalTiming};

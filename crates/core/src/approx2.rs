@@ -13,8 +13,8 @@
 //! The safety oracle is decomposed per output cone: each primary output
 //! gets its own standalone cone network ([`Network::extract_cone`]) with
 //! its own delay table, so each stability check runs a private χ engine
-//! over just that cone. Validation is organised as **rounds** over a
-//! work-stealing pool:
+//! over just that cone. The climb itself is sequential (each raise
+//! depends on the last verdict); validation is organised as **rounds**:
 //!
 //! - **Batched probes** — every pending `(cone, rung)` probe of a round
 //!   is grouped by cone into one [`Batch`]. A batch's SAT probes share
@@ -23,38 +23,27 @@
 //!   batch's rung values, so learned clauses and the clause database
 //!   carry across the rungs of a batch instead of being rebuilt per
 //!   probe.
-//! - **Work stealing** — batches are seeded round-robin into per-worker
-//!   deques ([`StealQueues`]); an idle worker steals the oldest batch
-//!   of a loaded sibling instead of waiting at a static split, and the
-//!   coordinator participates in every round. Helper threads spawn
-//!   lazily: a search that never accumulates enough oracle work
-//!   ([`WARMUP_ORACLE_CALLS`]) runs entirely on the calling thread and
-//!   pays zero spawn latency.
-//! - **Shared striped cache** — cone verdicts are pure facts about
-//!   `(cone, projected arrivals)`, stored in a lock-striped cache
-//!   ([`StripedVerdictCache`]) keyed by support-mask fingerprint. A
-//!   verdict proven by one worker immediately prunes every other
-//!   worker's pending probes, which keeps the parallel oracle-call
-//!   count at the sequential level instead of multiplying it.
-//! - **Speculative climb pipelining** — the greedy climb is inherently
-//!   sequential (each raise depends on the last verdict), so round
-//!   batches alone cannot keep helpers busy. While the coordinator
-//!   walks one coordinate, workers pre-solve the *step-1 probes of the
-//!   next few coordinates* ([`SPEC_WINDOW`]) at the current base,
-//!   landing verdicts in the striped cache where the climb's own
-//!   probes find them. Speculative probes ride the injector at lower
-//!   priority than round batches, carry the base version they were
-//!   planned against (stale probes are dropped unexecuted), and
-//!   **single-flight claims** ([`StripedVerdictCache::claim`]) ensure a
-//!   probe in flight on one thread is awaited — never re-solved — by
-//!   every other.
+//! - **Parallel rounds** — the batches of one round are independent.
+//!   Once the search has made [`WARMUP_ORACLE_CALLS`] oracle calls, a
+//!   round with three or more batches runs its leading batch alone,
+//!   then the rest inside one [`std::thread::scope`] with
+//!   `min(threads, available_parallelism)` workers pulling batches
+//!   from a shared cursor, so one slow cone cannot serialize the round.
+//!   The leading batch often disproves the round's rung by itself,
+//!   and then no sibling probe is spent. Trivial circuits finish under
+//!   the warm-up and never spawn a thread.
+//! - **Per-cone verdict stores** — cone verdicts are pure facts about
+//!   `(cone, projected arrivals)`. Each cone has its own store, owned
+//!   by the search; a round holds at most one batch per cone, so the
+//!   worker running a batch borrows that cone's store exclusively and
+//!   no lock guards it.
 //! - **Deterministic merge** — the probe schedule is thread-count
 //!   independent (fixed ladder width [`LADDER_PROBES`], batches formed
-//!   in cone-index order, verdicts landed by rung slot, duplicate
-//!   maxima dropped min-attempt-index first), so the reported analysis
-//!   is byte-identical for every thread count. Parallelism and cache
-//!   sharing change how *many* oracle calls run, never what the search
-//!   concludes.
+//!   in cone-index order, verdicts landed by rung slot and merged in
+//!   batch order, duplicate maxima dropped min-attempt-index first), so
+//!   the reported analysis is byte-identical for every thread count.
+//!   Parallelism changes how *many* oracle calls run (the cross-cone
+//!   short-circuit may fire later), never what the search concludes.
 //!
 //! Raising coordinate `i` only re-validates cones whose transitive
 //! input support contains `i` (precomputed
@@ -66,21 +55,19 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use xrta_bdd::{BddError, FxHashMap};
 use xrta_chi::{ChiSatEngine, EngineKind, FunctionalTiming, Stability};
 use xrta_network::{Network, NodeId};
+use xrta_robust::mem::Subsystem;
 use xrta_sat::StopReason;
 use xrta_timing::{required_times, DelayModel, TableDelay, Time};
 
 use crate::dominance::{CacheStrategy, DominanceCache};
 use crate::governor::{AnalysisError, Budget};
-use crate::oracle_pool::StealQueues;
 use crate::plan::plan_leaves;
-use crate::stripes::{support_fingerprint, Claim, StripedVerdictCache};
 
 /// Rungs probed per bisection round of the galloping ascent. Fixed (not
 /// derived from the thread count) so the probe schedule — and with it
@@ -89,16 +76,19 @@ use crate::stripes::{support_fingerprint, Claim, StripedVerdictCache};
 /// to amortise its χ engine over.
 const LADDER_PROBES: usize = 2;
 
-/// Oracle calls a search must accumulate before helper threads spawn.
-/// Trivial circuits finish their whole climb under this threshold and
-/// never pay thread-spawn or hand-off latency.
-const WARMUP_ORACLE_CALLS: usize = 48;
+/// Oracle calls a search must accumulate before a round may run in
+/// parallel. Trivial circuits (the C499 and C1355 surrogates climb in
+/// 71 calls) finish their whole climb under this threshold and never
+/// pay thread-spawn latency.
+const WARMUP_ORACLE_CALLS: usize = 128;
 
-/// How many upcoming coordinates the climb speculates ahead of itself.
-/// Each speculated coordinate is one step-1 probe (the "can it move at
-/// all?" query that dominates the call profile), so the window bounds
-/// wasted work when a raise succeeds and invalidates the base.
-const SPEC_WINDOW: usize = 8;
+/// Estimated bytes per cached cone verdict beyond the projection
+/// payload: map entry header and hash-table slot bookkeeping.
+const ENTRY_BASE_BYTES: u64 = 64;
+
+/// Soft-pressure reclamation is skipped while the cone stores hold less
+/// than this — a sweep that frees a few kilobytes only costs refills.
+const RECLAIM_FLOOR_BYTES: u64 = 1 << 20;
 
 /// Options for the lattice-climbing analysis.
 #[derive(Clone, Copy, Debug)]
@@ -133,9 +123,8 @@ pub struct Approx2Options {
     pub cluster_stride: usize,
     /// Worker threads for cone validation. `0` = use
     /// [`std::thread::available_parallelism`]; `1` = fully sequential.
-    /// Helpers spawn lazily once enough oracle work has accumulated and
-    /// steal batches from each other; any value produces the same
-    /// analysis.
+    /// Clamped to the machine's parallelism; any value produces the
+    /// same analysis.
     pub threads: usize,
     /// Verdict-cache strategy; see [`CacheStrategy`].
     pub cache: CacheStrategy,
@@ -158,36 +147,21 @@ impl Default for Approx2Options {
     }
 }
 
+fn available_parallelism() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
 impl Approx2Options {
     /// Resolves [`Approx2Options::threads`] (`0` → available
     /// parallelism).
     pub fn effective_threads(&self) -> usize {
         if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+            available_parallelism()
         } else {
             self.threads
         }
-    }
-
-    /// Worker slots the oracle pool actually provisions: the configured
-    /// thread count clamped to the machine's parallelism. Cone probes
-    /// are CPU-bound SAT/BDD solves, so oversubscribing cores only adds
-    /// context switching and hand-off latency — a request for 4 threads
-    /// on a 1-core box must run exactly like a request for 1 (and does:
-    /// the probe schedule is thread-count independent). Setting
-    /// `XRTA_OVERSUBSCRIBE` lifts the clamp — the analysis stays
-    /// correct under any interleaving, so this exists to exercise and
-    /// debug the multi-worker paths on small machines.
-    fn worker_slots(&self) -> usize {
-        if std::env::var_os("XRTA_OVERSUBSCRIBE").is_some() {
-            return self.effective_threads();
-        }
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        self.effective_threads().min(cores)
     }
 }
 
@@ -214,20 +188,11 @@ pub struct Approx2Result {
     pub cache_hits: usize,
     /// Worker threads the search was configured to use.
     pub threads_used: usize,
-    /// Batches an idle worker stole from a loaded sibling's deque.
-    pub steals: usize,
-    /// Striped-cache lock acquisitions that found the stripe held by
-    /// another thread.
-    pub shard_contention: usize,
     /// Oracle batches executed (each shares one χ engine across its
     /// probes).
     pub batches: usize,
     /// Probes that rode in a multi-rung batch (engine state reused).
     pub batched_probes: usize,
-    /// Cone probes solved speculatively (ahead of the climb) by helper
-    /// workers; their verdicts were served to the climb from the
-    /// striped cache.
-    pub spec_probes: usize,
     /// False when a budget cap stopped the enumeration early; the
     /// `maximal` found so far are still valid safe points.
     pub completed: bool,
@@ -292,6 +257,107 @@ impl Cone {
     }
 }
 
+/// Verdicts keyed by arrival vector, stored per [`CacheStrategy`].
+enum Verdicts {
+    Exact(FxHashMap<Vec<Time>, bool>),
+    Dominance(DominanceCache),
+}
+
+impl Verdicts {
+    fn new(strategy: CacheStrategy) -> Self {
+        match strategy {
+            CacheStrategy::Exact => Verdicts::Exact(FxHashMap::default()),
+            CacheStrategy::Dominance => Verdicts::Dominance(DominanceCache::new()),
+        }
+    }
+
+    fn get(&self, r: &[Time]) -> Option<bool> {
+        match self {
+            Verdicts::Exact(m) => m.get(r).copied(),
+            Verdicts::Dominance(d) => d.peek(r),
+        }
+    }
+
+    fn insert(&mut self, r: &[Time], safe: bool) {
+        match self {
+            Verdicts::Exact(m) => {
+                m.insert(r.to_vec(), safe);
+            }
+            Verdicts::Dominance(d) => d.insert(r, safe),
+        }
+    }
+
+    fn clear(&mut self) {
+        match self {
+            Verdicts::Exact(m) => *m = FxHashMap::default(),
+            Verdicts::Dominance(d) => *d = DominanceCache::new(),
+        }
+    }
+}
+
+/// One cone's verdict store. Owned by the search and lent `&mut` to the
+/// one worker running that cone's batch, so it needs no lock. Every
+/// insert is charged to the process meter's `Stripes` account.
+struct ConeStore {
+    verdicts: Verdicts,
+    /// Queries answered from `verdicts`.
+    hits: usize,
+    /// Bytes currently charged to the meter for this store.
+    bytes: u64,
+}
+
+impl ConeStore {
+    fn new(strategy: CacheStrategy) -> Self {
+        ConeStore {
+            verdicts: Verdicts::new(strategy),
+            hits: 0,
+            bytes: 0,
+        }
+    }
+
+    /// Answers `proj` from the store, if it can; counts a hit.
+    fn query(&mut self, proj: &[Time]) -> Option<bool> {
+        let verdict = self.verdicts.get(proj);
+        if verdict.is_some() {
+            self.hits += 1;
+        }
+        verdict
+    }
+
+    fn insert(&mut self, proj: &[Time], safe: bool) {
+        let entry_bytes = ENTRY_BASE_BYTES + std::mem::size_of_val(proj) as u64;
+        xrta_robust::mem::global().charge(Subsystem::Stripes, entry_bytes);
+        self.bytes += entry_bytes;
+        self.verdicts.insert(proj, safe);
+    }
+
+    /// Drops every verdict and releases the store's meter charge. Sound:
+    /// verdicts are pure facts the oracle can re-derive.
+    fn clear(&mut self) {
+        self.verdicts.clear();
+        xrta_robust::mem::global().release(Subsystem::Stripes, self.bytes);
+        self.bytes = 0;
+    }
+}
+
+impl Drop for ConeStore {
+    fn drop(&mut self) {
+        xrta_robust::mem::global().release(Subsystem::Stripes, self.bytes);
+    }
+}
+
+/// Soft-pressure sweep over the cone stores: clears them all, unless
+/// together they hold less than [`RECLAIM_FLOOR_BYTES`]. Returns the
+/// bytes freed.
+fn reclaim(stores: &mut [ConeStore]) -> u64 {
+    let held: u64 = stores.iter().map(|s| s.bytes).sum();
+    if held < RECLAIM_FLOOR_BYTES {
+        return 0;
+    }
+    stores.iter_mut().for_each(ConeStore::clear);
+    held
+}
+
 /// Governor state shared with every cone validation.
 #[derive(Clone, Default)]
 struct OracleGovernor {
@@ -333,8 +399,8 @@ impl OracleGovernor {
     }
 }
 
-/// One unit of stealable oracle work: validate `rungs.len()` raises of
-/// one coordinate against one cone, sharing a single χ engine.
+/// One round's oracle work for one cone: validate `rungs.len()` raises
+/// of one coordinate, sharing a single χ engine.
 struct Batch {
     /// Index into [`OracleShared::cones`].
     cone: usize,
@@ -375,30 +441,8 @@ impl BatchOut {
     }
 }
 
-/// A speculative probe: the step-1 raise of an upcoming coordinate,
-/// decomposed into the projections of every cone whose support contains
-/// it. Executed at injector priority (below round batches); verdicts
-/// land in the shared striped cache where the climb's own probes find
-/// them. Speculation changes *when* a verdict is proven, never what it
-/// says — every verdict is a pure fact about `(cone, projection)`.
-struct SpecProbe {
-    /// `(cone index, projected arrivals)` per relevant cone.
-    cones: Vec<(usize, Vec<Time>)>,
-    /// The base version this probe was planned against
-    /// ([`OracleShared::spec_version`]); stale probes are dropped.
-    version: u64,
-}
-
-/// What flows through the work-stealing queues: a round's cone batch
-/// (coordinator awaits it at a barrier) or a speculative probe (fire
-/// and forget into the cache).
-enum Task {
-    Round(Batch),
-    Spec(SpecProbe),
-}
-
-/// Everything a worker needs, shared by `Arc`: the cones, the striped
-/// verdict cache, the work queues and the global counters.
+/// What every worker of a round reads: the cones and budgets, plus the
+/// two counters workers update concurrently.
 struct OracleShared {
     cones: Vec<Cone>,
     options: Approx2Options,
@@ -408,22 +452,11 @@ struct OracleShared {
     /// long probe cannot blow through [`Approx2Options::time_budget`].
     engine_deadline: Option<Instant>,
     started: Instant,
-    cache: StripedVerdictCache,
     oracle_calls: AtomicUsize,
-    batches: AtomicUsize,
-    batched_probes: AtomicUsize,
     /// Per-round bitmask of rung slots already proven unsafe by some
     /// cone; lets every other cone skip its probes for that rung
     /// (cross-cone short-circuit — the verdict is `false` either way).
     round_failed: AtomicU64,
-    /// Bumped whenever the climb's base point changes; speculative
-    /// probes planned against an older version are dropped unexecuted.
-    spec_version: AtomicU64,
-    /// Speculative cone probes actually solved (vs dropped stale).
-    spec_solved: AtomicUsize,
-    /// Panics inside speculative probes (folded into `worker_panics`).
-    spec_panics: AtomicUsize,
-    queues: StealQueues<Task>,
 }
 
 impl OracleShared {
@@ -463,11 +496,12 @@ impl OracleShared {
     }
 }
 
-/// Runs one batch on the calling thread. Every probe is individually
-/// contained (`catch_unwind`); verdicts are pure functions of
-/// `(cone, projection)` plus the per-query budgets, so any thread may
-/// execute any batch without affecting what the search concludes.
-fn execute_batch(shared: &OracleShared, batch: &Batch) -> BatchOut {
+/// Runs one batch on the calling thread against its cone's store.
+/// Every probe is individually contained (`catch_unwind`); verdicts are
+/// pure functions of `(cone, projection)` plus the per-query budgets,
+/// so any thread may execute any batch without affecting what the
+/// search concludes.
+fn execute_batch(shared: &OracleShared, batch: &Batch, store: &mut ConeStore) -> BatchOut {
     let cone = &shared.cones[batch.cone];
     let values: Vec<Time> = batch.rungs.iter().map(|&(_, v)| v).collect();
     let mut out = BatchOut {
@@ -476,12 +510,6 @@ fn execute_batch(shared: &OracleShared, batch: &Batch) -> BatchOut {
         truncated: false,
         panics: 0,
     };
-    shared.batches.fetch_add(1, Ordering::Relaxed);
-    if batch.rungs.len() > 1 {
-        shared
-            .batched_probes
-            .fetch_add(batch.rungs.len(), Ordering::Relaxed);
-    }
     out.stop = shared.gov.stop();
     let mut engine: Option<ChiSatEngine> = None;
     for (variant, &(k, value)) in batch.rungs.iter().enumerate() {
@@ -497,28 +525,14 @@ fn execute_batch(shared: &OracleShared, batch: &Batch) -> BatchOut {
         }
         let mut proj = batch.proj.clone();
         proj[batch.vary] = value;
-        // Single-flight claim: a hit may have been resolved by another
-        // worker mid-round (including a speculative probe we waited
-        // for); `Owner` obliges this probe to insert or abandon on
-        // every exit path below so no waiter stalls.
-        let owned = match shared.cache.claim(batch.cone, &proj) {
-            Claim::Hit(v) => {
-                if !v {
-                    shared.round_failed.fetch_or(1 << k, Ordering::Relaxed);
-                }
-                out.verdicts.push((k, Some(v)));
-                continue;
+        if let Some(v) = store.query(&proj) {
+            if !v {
+                shared.round_failed.fetch_or(1 << k, Ordering::Relaxed);
             }
-            Claim::Owner => true,
-            Claim::TimedOut => false,
-        };
-        let release = |shared: &OracleShared| {
-            if owned {
-                shared.cache.abandon(batch.cone, &proj);
-            }
-        };
+            out.verdicts.push((k, Some(v)));
+            continue;
+        }
         if shared.time_exhausted() {
-            release(shared);
             out.truncated = true;
             out.verdicts.push((k, None));
             continue;
@@ -528,7 +542,6 @@ fn execute_batch(shared: &OracleShared, batch: &Batch) -> BatchOut {
         let prior = shared.oracle_calls.fetch_add(1, Ordering::Relaxed);
         if prior >= shared.options.max_oracle_calls {
             shared.oracle_calls.fetch_sub(1, Ordering::Relaxed);
-            release(shared);
             out.truncated = true;
             out.verdicts.push((k, None));
             continue;
@@ -587,7 +600,7 @@ fn execute_batch(shared: &OracleShared, batch: &Batch) -> BatchOut {
         }));
         match run {
             Ok(Ok(safe)) => {
-                shared.cache.insert(batch.cone, &proj, safe);
+                store.insert(&proj, safe);
                 if !safe {
                     shared.round_failed.fetch_or(1 << k, Ordering::Relaxed);
                 }
@@ -597,7 +610,7 @@ fn execute_batch(shared: &OracleShared, batch: &Batch) -> BatchOut {
             // conservatively unsafe, but keep searching (other cones
             // may still answer). Deterministic, hence cacheable.
             Ok(Err(BddError::Capacity { .. })) => {
-                shared.cache.insert(batch.cone, &proj, false);
+                store.insert(&proj, false);
                 shared.round_failed.fetch_or(1 << k, Ordering::Relaxed);
                 out.verdicts.push((k, Some(false)));
             }
@@ -606,7 +619,6 @@ fn execute_batch(shared: &OracleShared, batch: &Batch) -> BatchOut {
                 // deadline and the options' own wall-clock budget —
                 // attribute accordingly. Interrupt artifacts are not
                 // cached (they are not facts about the cone).
-                release(shared);
                 if shared.gov.deadline.is_some_and(|d| Instant::now() >= d) {
                     out.stop = Some(AnalysisError::DeadlineExceeded);
                 } else {
@@ -615,7 +627,6 @@ fn execute_batch(shared: &OracleShared, batch: &Batch) -> BatchOut {
                 out.verdicts.push((k, None));
             }
             Ok(Err(e)) => {
-                release(shared);
                 out.stop = Some(e.into());
                 out.verdicts.push((k, None));
             }
@@ -624,7 +635,7 @@ fn execute_batch(shared: &OracleShared, batch: &Batch) -> BatchOut {
                 // engine (its solver state is suspect) and keep going.
                 out.panics += 1;
                 engine = None;
-                shared.cache.insert(batch.cone, &proj, false);
+                store.insert(&proj, false);
                 shared.round_failed.fetch_or(1 << k, Ordering::Relaxed);
                 out.verdicts.push((k, Some(false)));
             }
@@ -633,156 +644,72 @@ fn execute_batch(shared: &OracleShared, batch: &Batch) -> BatchOut {
     out
 }
 
-/// Runs one speculative probe on the calling thread. The verdicts it
-/// proves are the same pure facts the round path would compute —
-/// speculation changes *when* they are proven, never what they say.
-/// Every single-flight claim is resolved (`insert`) or released
-/// (`abandon`) on every exit path, so no waiter can stall on this
-/// probe.
-fn execute_spec(shared: &OracleShared, spec: &SpecProbe) {
-    for (c, proj) in &spec.cones {
-        if shared.spec_version.load(Ordering::Acquire) != spec.version {
-            return; // Stale: the climb has moved its base since.
+/// Runs a round's batches on `workers` threads (the caller's
+/// included) inside one scope. Workers pull the next batch through a
+/// shared cursor; results come back in batch order. One worker spawns
+/// nothing and runs the batches in order on the calling thread.
+fn run_parallel(
+    shared: &OracleShared,
+    batches: &[Batch],
+    stores: Vec<&mut ConeStore>,
+    workers: usize,
+) -> Vec<BatchOut> {
+    let cursor = Mutex::new(batches.iter().zip(stores).enumerate());
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            // Poison-tolerant: the lock guards only `next()` on a
+            // slice iterator, which cannot panic half-way.
+            let next = cursor.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some((j, (batch, store))) = next else {
+                return done;
+            };
+            // `execute_batch` contains probe panics itself; this
+            // outer net keeps a batch that panics anyway from
+            // taking its worker, and the round, down with it.
+            let out = catch_unwind(AssertUnwindSafe(|| execute_batch(shared, batch, store)))
+                .unwrap_or_else(|_| BatchOut::poisoned(batch));
+            done.push((j, out));
         }
-        if shared.gov.stop().is_some() || shared.time_exhausted() {
-            return;
+    };
+    let mut outs: Vec<Option<BatchOut>> = batches.iter().map(|_| None).collect();
+    std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..workers).map(|_| s.spawn(work)).collect();
+        let mine = work();
+        let theirs = helpers
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_default());
+        for (j, out) in mine.into_iter().chain(theirs) {
+            outs[j] = Some(out);
         }
-        let owned = match shared.cache.claim(*c, proj) {
-            Claim::Hit(true) => continue,
-            // One unsafe cone settles the whole vector; the remaining
-            // cones' verdicts are not worth oracle budget.
-            Claim::Hit(false) => return,
-            Claim::Owner => true,
-            Claim::TimedOut => false,
-        };
-        // Speculative probes draw from the same oracle-call budget as
-        // the climb's own (the cap is a cap, not a per-path quota).
-        let prior = shared.oracle_calls.fetch_add(1, Ordering::Relaxed);
-        if prior >= shared.options.max_oracle_calls {
-            shared.oracle_calls.fetch_sub(1, Ordering::Relaxed);
-            if owned {
-                shared.cache.abandon(*c, proj);
-            }
-            return;
-        }
-        let cone = &shared.cones[*c];
-        let run = catch_unwind(AssertUnwindSafe(|| -> Result<bool, BddError> {
-            // Same fault-injection site as a round probe — a schedule
-            // that poisons cone validations hits speculation too.
-            match xrta_robust::failpoint::eval("approx2::cone") {
-                Some(xrta_robust::failpoint::Outcome::Exhausted) => {
-                    return Err(BddError::Capacity {
-                        limit: shared.gov.node_limit.unwrap_or(usize::MAX),
-                    })
-                }
-                Some(xrta_robust::failpoint::Outcome::ReturnError) => {
-                    return Err(BddError::Deadline)
-                }
-                None => {}
-            }
-            // A fresh per-probe engine: speculation has no rung batch
-            // to amortise a varying engine over, and `FunctionalTiming`
-            // applies the identical verdict mapping (budget-exhausted
-            // reads conservatively unsafe) for both engine kinds.
-            let ft =
-                FunctionalTiming::new(&cone.net, &cone.delays, proj.clone(), shared.options.engine)
-                    .with_conflict_budget(shared.options.oracle_conflict_budget)
-                    .with_propagation_budget(shared.options.oracle_propagation_budget)
-                    .with_node_limit(shared.gov.node_limit)
-                    .with_mem_limit(shared.gov.mem_limit)
-                    .with_deadline(shared.engine_deadline)
-                    .with_cancel_flag(shared.gov.cancel.clone());
-            ft.try_stable_by(cone.out, cone.required)
-        }));
-        match run {
-            Ok(Ok(safe)) => {
-                shared.spec_solved.fetch_add(1, Ordering::Relaxed);
-                shared.cache.insert(*c, proj, safe);
-                if !safe {
-                    return;
-                }
-            }
-            // Deterministic budget verdict: cacheable, conservatively
-            // unsafe (same as the round path).
-            Ok(Err(BddError::Capacity { .. })) => {
-                shared.spec_solved.fetch_add(1, Ordering::Relaxed);
-                shared.cache.insert(*c, proj, false);
-                return;
-            }
-            // Deadline/cancellation artifacts are not facts about the
-            // cone; release the claim and let the coordinator attribute
-            // the interrupt on its own probes.
-            Ok(Err(_)) => {
-                if owned {
-                    shared.cache.abandon(*c, proj);
-                }
-                return;
-            }
-            Err(_) => {
-                shared.spec_panics.fetch_add(1, Ordering::Relaxed);
-                shared.cache.insert(*c, proj, false);
-                return;
-            }
-        }
-    }
-}
-
-/// Helper-thread main loop: pop (stealing when idle), execute, report.
-/// Round batches answer back over the channel; speculative probes
-/// resolve silently into the cache. Exits when the queues close.
-fn worker_loop(shared: &OracleShared, w: usize, tx: mpsc::Sender<BatchOut>) {
-    loop {
-        let epoch = shared.queues.epoch();
-        match shared.queues.pop(w) {
-            Some(Task::Round(batch)) => {
-                // `execute_batch` contains probe panics itself; this
-                // outer net only exists so a worker that dies anyway
-                // still sends a (conservative) result and cannot wedge
-                // the round.
-                let out = catch_unwind(AssertUnwindSafe(|| execute_batch(shared, &batch)))
-                    .unwrap_or_else(|_| BatchOut::poisoned(&batch));
-                if tx.send(out).is_err() {
-                    return;
-                }
-            }
-            Some(Task::Spec(spec)) => {
-                // Contained like a batch; a panic that escapes the
-                // per-probe net may leave one claim pending, which
-                // waiters shed via the claim timeout.
-                let _ = catch_unwind(AssertUnwindSafe(|| execute_spec(shared, &spec)));
-            }
-            None => {
-                if !shared.queues.wait(epoch) {
-                    return;
-                }
-            }
-        }
-    }
+    });
+    // A result lost to a worker that died outside the batch net
+    // reads conservatively unsafe.
+    outs.into_iter()
+        .zip(batches)
+        .map(|(out, batch)| out.unwrap_or_else(|| BatchOut::poisoned(batch)))
+        .collect()
 }
 
 struct Search {
-    shared: Arc<OracleShared>,
+    shared: OracleShared,
+    /// Per-cone verdict stores, indexed like [`OracleShared::cones`].
+    stores: Vec<ConeStore>,
+    /// Threads a parallel round may use (the caller's included).
+    workers: usize,
     candidates: Vec<Vec<Time>>,
     r_bottom: Vec<Time>,
-    /// Whole-vector verdict caches (coordinator-only; per-cone verdicts
-    /// live in the shared striped cache).
-    exact_full: FxHashMap<Vec<Time>, bool>,
-    dom_full: DominanceCache,
+    /// Whole-vector verdict cache.
+    full: Verdicts,
     full_hits: usize,
     first_nontrivial: Option<Duration>,
     out_of_budget: bool,
     interrupted: Option<AnalysisError>,
     worker_panics: usize,
-    /// Last [`OracleShared::spec_version`] speculation was planned
-    /// against; a mismatch resets the window.
-    spec_version_seen: u64,
-    /// Rotation index (within the current climb pass) up to which
-    /// step-1 speculation has been enqueued for the current base.
-    spec_upto: usize,
-    /// Lazily spawned helper threads (slots `1..` of the queues).
-    helpers: Vec<JoinHandle<()>>,
-    tx: mpsc::Sender<BatchOut>,
-    rx: mpsc::Receiver<BatchOut>,
+    batches: usize,
+    batched_probes: usize,
+    /// Rounds that ran on more than one thread.
+    parallel_rounds: usize,
 }
 
 impl Search {
@@ -798,199 +725,58 @@ impl Search {
             .collect()
     }
 
-    fn query_full(&mut self, r: &[Time]) -> Option<bool> {
-        match self.options().cache {
-            CacheStrategy::Exact => self.exact_full.get(r).copied(),
-            CacheStrategy::Dominance => self.dom_full.query(r),
-        }
-    }
-
-    /// Non-counting [`Search::query_full`] — speculation planning must
-    /// not inflate the reported hit counters.
-    fn peek_full(&self, r: &[Time]) -> Option<bool> {
-        match self.options().cache {
-            CacheStrategy::Exact => self.exact_full.get(r).copied(),
-            CacheStrategy::Dominance => self.dom_full.peek(r),
-        }
-    }
-
     fn record_full(&mut self, r: &[Time], safe: bool) {
-        match self.options().cache {
-            CacheStrategy::Exact => {
-                self.exact_full.insert(r.to_vec(), safe);
-            }
-            CacheStrategy::Dominance => self.dom_full.insert(r, safe),
-        }
+        self.full.insert(r, safe);
         if safe && self.first_nontrivial.is_none() && r != self.r_bottom.as_slice() {
             self.first_nontrivial = Some(self.shared.started.elapsed());
         }
     }
 
-    /// Spawns the helper threads (slots `1..` of the queues), once.
-    fn spawn_helpers(&mut self) {
-        let slots = self.shared.queues.workers();
-        for w in 1..slots {
-            let shared = Arc::clone(&self.shared);
-            let tx = self.tx.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("xrta-oracle-{w}"))
-                .spawn(move || worker_loop(&shared, w, tx))
-                .expect("spawn oracle worker");
-            self.helpers.push(handle);
-        }
-    }
-
-    /// Closes the queues and joins the helpers. Round batches are
-    /// always drained between rounds; the version bump makes any
-    /// still-queued speculative probes drop on dequeue, so join waits
-    /// for at most one in-flight probe per helper.
-    fn shutdown(&mut self) {
-        self.bump_spec_version();
-        self.shared.queues.close();
-        for h in self.helpers.drain(..) {
-            let _ = h.join();
-        }
-    }
-
-    /// Executes one round of batches and collects every result (a
-    /// barrier: the queues are empty again when this returns). Inline
-    /// on the calling thread while the frontier is trivial; otherwise
-    /// batches are seeded round-robin across the worker deques and the
-    /// coordinator participates, with idle workers stealing.
+    /// Executes one round of batches (one per cone, in cone order) and
+    /// returns their results in the same order. Runs on the calling
+    /// thread alone unless the search is warm, the round has three or
+    /// more batches and more than one worker is available.
     fn run_round(&mut self, batches: Vec<Batch>) -> Vec<BatchOut> {
-        self.shared.round_failed.store(0, Ordering::Relaxed);
-        let n = batches.len();
-        let slots = self.shared.queues.workers();
-        let warm = self.shared.oracle_calls.load(Ordering::Relaxed) >= WARMUP_ORACLE_CALLS;
-        let engage = slots > 1 && n > 1 && (warm || !self.helpers.is_empty());
-        if !engage {
-            // Single batch, single thread, or a still-cold search:
-            // execute in cone order on this thread (the cross-cone
-            // short-circuit still applies via `round_failed`).
-            return batches
-                .iter()
-                .map(|b| execute_batch(&self.shared, b))
-                .collect();
-        }
-        if self.helpers.is_empty() {
-            self.spawn_helpers();
-        }
-        for (j, b) in batches.into_iter().enumerate() {
-            self.shared.queues.push_local(j % slots, Task::Round(b));
-        }
-        let mut outs = Vec::with_capacity(n);
-        while outs.len() < n {
-            // `pop_round`, not `pop`: the coordinator is awaiting this
-            // round's barrier and must not pick up a long speculative
-            // probe from the injector while batches are outstanding.
-            if let Some(task) = self.shared.queues.pop_round(0) {
-                match task {
-                    Task::Round(batch) => outs.push(execute_batch(&self.shared, &batch)),
-                    // Specs never land in worker deques, but stay total.
-                    Task::Spec(spec) => execute_spec(&self.shared, &spec),
-                }
-            } else {
-                match self.rx.recv_timeout(Duration::from_millis(50)) {
-                    Ok(out) => outs.push(out),
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                    // Unreachable (we hold a sender), but never hang.
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                }
-            }
-        }
-        outs
-    }
-
-    /// Plans speculative step-1 probes for the next [`SPEC_WINDOW`]
-    /// coordinates of the rotation at the current base `r`, pushing
-    /// them to the injector for idle workers. No-op until the search is
-    /// warm (trivial circuits stay single-threaded). `k` is the
-    /// rotation index about to be climbed.
-    ///
-    /// **Waste-freedom.** A speculated probe for coordinate `j` is only
-    /// planned for cones whose support is *disjoint* from every
-    /// coordinate the climb may raise before it reaches `j` (rotation
-    /// positions `k..j`). Raising any of those coordinates cannot
-    /// change such a cone's projection, and `r[j]` itself only moves
-    /// when the climb ascends `j` — so the planned `(cone, projection)`
-    /// is exactly the probe the climb's own step-1 round will need.
-    /// Speculation therefore shifts oracle calls earlier in time but
-    /// adds none: the parallel call count tracks the sequential one by
-    /// construction, instead of gambling on a base that dense circuits
-    /// invalidate constantly.
-    fn maybe_speculate(&mut self, r: &[Time], start: usize, k: usize) {
-        let slots = self.shared.queues.workers();
-        if slots <= 1
-            || self.shared.oracle_calls.load(Ordering::Relaxed) < WARMUP_ORACLE_CALLS
-            || self.out_of_budget
-        {
-            return;
-        }
-        if self.helpers.is_empty() {
-            self.spawn_helpers();
-        }
-        let version = self.shared.spec_version.load(Ordering::Acquire);
-        if version != self.spec_version_seen {
-            // Base moved: whatever was enqueued before is stale (the
-            // workers drop it); re-plan the window at the new base.
-            self.spec_version_seen = version;
-            self.spec_upto = 0;
-        }
-        let n = r.len();
-        let from = self.spec_upto.max(k + 1);
-        let to = (k + 1 + SPEC_WINDOW).min(n);
-        if from >= to {
-            return;
-        }
-        // Union of the supports that may move before the climb reaches
-        // each speculated coordinate: positions k..j in rotation order.
-        let words = self.shared.cones.first().map_or(0, |c| c.mask.len());
-        let mut blocked = vec![0u64; words.max(1)];
-        let mark = |blocked: &mut [u64], pos: usize| {
-            blocked[pos / 64] |= 1 << (pos % 64);
+        let shared = &self.shared;
+        shared.round_failed.store(0, Ordering::Relaxed);
+        self.batches += batches.len();
+        self.batched_probes += batches
+            .iter()
+            .map(|b| b.rungs.len())
+            .filter(|&n| n > 1)
+            .sum::<usize>();
+        // Pair every batch with its cone's store; batches come in
+        // strictly increasing cone order, so the borrows are disjoint.
+        let mut by_cone = self.stores.iter_mut().enumerate();
+        let mut stores: Vec<&mut ConeStore> = batches
+            .iter()
+            .map(|b| {
+                by_cone
+                    .find(|(c, _)| *c == b.cone)
+                    .map(|(_, s)| s)
+                    .expect("one batch per cone, in cone order")
+            })
+            .collect();
+        // A still-cold search runs on this thread alone; with one
+        // worker `run_parallel` spawns nothing and takes the batches in
+        // cone order, so the cross-cone short-circuit still applies.
+        let warm = shared.oracle_calls.load(Ordering::Relaxed) >= WARMUP_ORACLE_CALLS;
+        let parallel = warm && self.workers > 1 && batches.len() > 2;
+        // A parallel round first runs its leading batch alone. Most
+        // single-rung rounds end there (the rung fails and every other
+        // cone skips it); siblings probed beside it would be calls the
+        // serial order never makes.
+        let (lead, rest) = batches.split_at(usize::from(parallel));
+        let rest_stores = stores.split_off(lead.len());
+        let mut outs = run_parallel(shared, lead, stores, 1);
+        let workers = if parallel {
+            self.parallel_rounds += 1;
+            self.workers.min(rest.len())
+        } else {
+            1
         };
-        // Positions before `k` were already climbed this pass and stay
-        // put until after `j` is probed; only `k..from` may still move.
-        for j in k..from {
-            mark(&mut blocked, (start + j) % n);
-        }
-        for j in from..to {
-            mark(&mut blocked, (start + j - 1) % n);
-            let i = (start + j) % n;
-            let cands = &self.candidates[i];
-            let Some(pos) = cands.iter().position(|&c| c == r[i]) else {
-                continue;
-            };
-            if pos + 1 >= cands.len() {
-                continue; // already at the top
-            }
-            let mut v = r.to_vec();
-            v[i] = cands[pos + 1];
-            if self.peek_full(&v).is_some() {
-                continue; // the climb will answer this from the caches
-            }
-            let cones: Vec<(usize, Vec<Time>)> = (0..self.shared.cones.len())
-                .filter(|&c| {
-                    let cone = &self.shared.cones[c];
-                    cone.supports(i) && cone.mask.iter().zip(&blocked).all(|(m, b)| m & b == 0)
-                })
-                .map(|c| (c, self.project(c, &v)))
-                .collect();
-            if cones.is_empty() {
-                continue;
-            }
-            self.shared
-                .queues
-                .push(Task::Spec(SpecProbe { cones, version }));
-        }
-        self.spec_upto = self.spec_upto.max(to);
-    }
-
-    /// Declares the climb's base point changed: in-flight and queued
-    /// speculative probes against the old base are dropped, and the
-    /// next [`Search::maybe_speculate`] re-plans its window.
-    fn bump_spec_version(&self) {
-        self.shared.spec_version.fetch_add(1, Ordering::Release);
+        outs.extend(run_parallel(shared, rest, rest_stores, workers));
+        outs
     }
 
     /// Safety verdicts for raising coordinate `i` of the **safe** point
@@ -1009,11 +795,11 @@ impl Search {
             self.out_of_budget = true;
             return None;
         }
-        // Soft memory pressure: shed the verdict cache in place before
+        // Soft memory pressure: shed the cone stores in place before
         // this round rather than letting the hard watermark end the
         // search. Verdicts are re-derivable, so this only costs refills.
         if self.shared.gov.soft_pressure() {
-            self.shared.cache.reclaim();
+            reclaim(&mut self.stores);
         }
         let relevant: Vec<usize> = (0..self.shared.cones.len())
             .filter(|&c| self.shared.cones[c].supports(i))
@@ -1025,7 +811,7 @@ impl Search {
         for &rung in rungs {
             let mut v = base.to_vec();
             v[i] = rung;
-            if let Some(known) = self.query_full(&v) {
+            if let Some(known) = self.full.get(&v) {
                 self.full_hits += 1;
                 verdicts.push(Some(known));
                 unresolved.push(Vec::new());
@@ -1035,7 +821,7 @@ impl Search {
             let mut known_unsafe = false;
             for &c in &relevant {
                 let proj = self.project(c, &v);
-                match self.shared.cache.query(c, &proj) {
+                match self.stores[c].query(&proj) {
                     Some(true) => {}
                     Some(false) => {
                         known_unsafe = true;
@@ -1240,23 +1026,14 @@ impl Search {
     }
 
     /// Greedy ascent visiting coordinates starting from index `start`.
-    /// The climb itself is sequential (each raise depends on the last
-    /// verdict); speculation keeps the helpers busy pre-solving the
-    /// step-1 probes of the coordinates just ahead, and every base
-    /// change invalidates what they haven't started yet.
+    /// Sequential: each raise depends on the last verdict.
     fn climb_rotated(&mut self, mut r: Vec<Time>, start: usize) -> Vec<Time> {
         let n = r.len();
-        self.bump_spec_version();
         loop {
             let mut progressed = false;
-            self.spec_upto = 0;
             for k in 0..n {
                 let i = (start + k) % n;
-                self.maybe_speculate(&r, start, k);
-                if self.ascend(&mut r, i) {
-                    progressed = true;
-                    self.bump_spec_version();
-                }
+                progressed |= self.ascend(&mut r, i);
                 if self.out_of_budget {
                     return r;
                 }
@@ -1274,8 +1051,8 @@ impl Search {
 /// planning pass (the times at which χ leaves are referenced), whose
 /// minimum is the topological required time; `∞` is appended when
 /// [`Approx2Options::allow_never`] is set. See the module docs for the
-/// oracle architecture (per-cone engines, work-stealing workers, shared
-/// striped dominance cache).
+/// oracle architecture (per-cone engines and verdict stores, parallel
+/// validation rounds).
 ///
 /// # Panics
 ///
@@ -1305,9 +1082,25 @@ pub fn approx2_required_times_governed<D: DelayModel>(
     net: &Network,
     model: &D,
     output_required: &[Time],
-    mut options: Approx2Options,
+    options: Approx2Options,
     budget: &Budget,
 ) -> Result<Approx2Result, AnalysisError> {
+    // Cone probes are CPU-bound solves: threads beyond the machine's
+    // parallelism only add context switches.
+    let workers = options.effective_threads().min(available_parallelism());
+    run_search(net, model, output_required, options, budget, workers).map(|(r, _)| r)
+}
+
+/// [`approx2_required_times_governed`] with an explicit worker count
+/// for parallel rounds. Also returns how many rounds ran in parallel.
+fn run_search<D: DelayModel>(
+    net: &Network,
+    model: &D,
+    output_required: &[Time],
+    mut options: Approx2Options,
+    budget: &Budget,
+    workers: usize,
+) -> Result<(Approx2Result, usize), AnalysisError> {
     assert_eq!(output_required.len(), net.outputs().len());
     if budget.is_cancelled() {
         return Err(AnalysisError::Interrupted);
@@ -1395,12 +1188,6 @@ pub fn approx2_required_times_governed<D: DelayModel>(
         })
         .collect();
 
-    let n_cones = cones.len();
-    let fingerprints: Vec<u64> = cones
-        .iter()
-        .enumerate()
-        .map(|(c, cone)| support_fingerprint(c, &cone.mask))
-        .collect();
     let gov = OracleGovernor {
         deadline: budget.deadline(),
         cancel: Some(budget.cancel_flag()),
@@ -1412,48 +1199,42 @@ pub fn approx2_required_times_governed<D: DelayModel>(
         (Some(a), Some(b)) => Some(a.min(b)),
         (a, b) => a.or(b),
     };
-    let shared = Arc::new(OracleShared {
-        cones,
-        options,
-        gov,
-        engine_deadline,
-        started,
-        cache: StripedVerdictCache::new(options.cache, &fingerprints),
-        oracle_calls: AtomicUsize::new(0),
-        batches: AtomicUsize::new(0),
-        batched_probes: AtomicUsize::new(0),
-        round_failed: AtomicU64::new(0),
-        spec_version: AtomicU64::new(0),
-        spec_solved: AtomicUsize::new(0),
-        spec_panics: AtomicUsize::new(0),
-        queues: StealQueues::new(options.worker_slots()),
-    });
-    let (tx, rx) = mpsc::channel();
+    let stores = cones
+        .iter()
+        .map(|_| ConeStore::new(options.cache))
+        .collect();
     let mut search = Search {
-        shared: Arc::clone(&shared),
+        shared: OracleShared {
+            cones,
+            options,
+            gov,
+            engine_deadline,
+            started,
+            oracle_calls: AtomicUsize::new(0),
+            round_failed: AtomicU64::new(0),
+        },
+        stores,
+        workers,
         candidates,
         r_bottom: r_bottom.clone(),
-        exact_full: FxHashMap::default(),
-        dom_full: DominanceCache::new(),
+        full: Verdicts::new(options.cache),
         full_hits: 0,
         first_nontrivial: None,
         out_of_budget: false,
         interrupted: None,
         worker_panics: 0,
-        spec_version_seen: 0,
-        spec_upto: 0,
-        helpers: Vec::new(),
-        tx,
-        rx,
+        batches: 0,
+        batched_probes: 0,
+        parallel_rounds: 0,
     };
 
     // The bottom is safe by construction (topological analysis is
     // conservative); seed the caches so a conflict budget cannot make
     // the search reject its own starting point.
     search.record_full(&r_bottom, true);
-    for c in 0..n_cones {
+    for c in 0..search.stores.len() {
         let proj = search.project(c, &r_bottom);
-        shared.cache.insert(c, &proj, true);
+        search.stores[c].insert(&proj, true);
     }
 
     let maximal = if options.max_solutions <= 1 {
@@ -1466,8 +1247,6 @@ pub fn approx2_required_times_governed<D: DelayModel>(
         m
     };
 
-    search.shutdown();
-
     if search.interrupted == Some(AnalysisError::Interrupted) {
         // Cancellation means "stop, the caller no longer wants an
         // answer" — unlike a deadline, there is no one left to use a
@@ -1475,24 +1254,22 @@ pub fn approx2_required_times_governed<D: DelayModel>(
         return Err(AnalysisError::Interrupted);
     }
 
-    Ok(Approx2Result {
+    let result = Approx2Result {
         r_bottom,
         maximal,
         candidates: search.candidates,
         first_nontrivial: search.first_nontrivial,
         total_time: started.elapsed(),
-        oracle_calls: shared.oracle_calls.load(Ordering::Relaxed),
-        cache_hits: search.full_hits + shared.cache.hits(),
+        oracle_calls: search.shared.oracle_calls.load(Ordering::Relaxed),
+        cache_hits: search.full_hits + search.stores.iter().map(|s| s.hits).sum::<usize>(),
         threads_used: options.effective_threads(),
-        steals: shared.queues.steals(),
-        shard_contention: shared.cache.contention(),
-        batches: shared.batches.load(Ordering::Relaxed),
-        batched_probes: shared.batched_probes.load(Ordering::Relaxed),
-        spec_probes: shared.spec_solved.load(Ordering::Relaxed),
+        batches: search.batches,
+        batched_probes: search.batched_probes,
         completed: !search.out_of_budget,
         stopped_by: search.interrupted,
-        worker_panics: search.worker_panics + shared.spec_panics.load(Ordering::Relaxed),
-    })
+        worker_panics: search.worker_panics,
+    };
+    Ok((result, search.parallel_rounds))
 }
 
 #[cfg(test)]
@@ -1805,63 +1582,196 @@ mod tests {
         net
     }
 
+    /// The analysis at `workers` threads, however many cores the host
+    /// has, plus the number of rounds that ran in parallel.
+    fn run_with_workers(
+        net: &Network,
+        req: &[Time],
+        options: Approx2Options,
+        workers: usize,
+    ) -> (Approx2Result, usize) {
+        run_search(net, &UnitDelay, req, options, &Budget::unlimited(), workers)
+            .expect("ungoverned analysis cannot be interrupted")
+    }
+
     #[test]
-    fn oversubscribed_multiworker_agrees_with_serial() {
-        // The worker-slot clamp keeps multi-worker paths dormant on
-        // small machines; lift it so helpers, stealing, speculation and
-        // single-flight claims all run even on one core. Any
-        // interleaving must produce the serial analysis, and the
-        // disjoint-support speculation filter must keep the parallel
-        // call count at the sequential level.
-        std::env::set_var("XRTA_OVERSUBSCRIBE", "1");
-        let net = wide_bypass(6);
-        let req = vec![Time::new(4); 6];
-        let run = |threads| {
-            approx2_required_times(
+    fn multiworker_rounds_agree_with_serial() {
+        // Both adders climb well past the warm-up and have rounds of
+        // three or more cone batches, the only ones that run in
+        // parallel.
+        for block in [2, 4] {
+            let net = xrta_circuits::carry_skip_adder(8, block).expect("valid adder");
+            let req = vec![Time::ZERO; net.outputs().len()];
+            let (seq, seq_rounds) = run_with_workers(&net, &req, Approx2Options::default(), 1);
+            assert_eq!(seq_rounds, 0);
+            for workers in [2, 4] {
+                let (par, rounds) =
+                    run_with_workers(&net, &req, Approx2Options::default(), workers);
+                assert!(rounds > 0, "no round ran in parallel at {workers} workers");
+                assert_eq!(seq.maximal, par.maximal);
+                assert_eq!(seq.candidates, par.candidates);
+                assert_eq!(seq.r_bottom, par.r_bottom);
+                assert_eq!(par.worker_panics, 0);
+                assert!(par.completed);
+                // A late cross-cone short-circuit may cost a few
+                // extra probes, never a second climb's worth.
+                assert!(
+                    par.oracle_calls <= seq.oracle_calls + seq.oracle_calls / 10,
+                    "{workers} workers made {} oracle calls against {} serial",
+                    par.oracle_calls,
+                    seq.oracle_calls
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn below_warmup_no_round_runs_in_parallel() {
+        // The whole climb on this circuit needs far fewer oracle calls
+        // than the warm-up threshold, so every round runs on the
+        // calling thread even when more workers are available.
+        let net = mux_false_path();
+        let (r, rounds) = run_with_workers(&net, &[Time::new(4)], Approx2Options::default(), 4);
+        assert!(r.oracle_calls < WARMUP_ORACLE_CALLS);
+        assert_eq!(rounds, 0, "cold search must not run a parallel round");
+    }
+
+    /// The sequential probe schedule, pinned: these counts and maxima
+    /// were recorded from the work-stealing oracle this one replaced,
+    /// at one thread. Any change to the ladder, the rotations, the
+    /// batching or the cross-cone short-circuit shows up here.
+    #[test]
+    fn sequential_transcript_is_pinned() {
+        use xrta_circuits::{c17, carry_skip_adder, random_circuit, RandomCircuitSpec};
+        let rand7 = random_circuit(RandomCircuitSpec {
+            inputs: 8,
+            gates: 40,
+            outputs: 4,
+            max_fanin: 3,
+            locality: 50,
+            seed: 7,
+        })
+        .expect("valid spec");
+        let csa = carry_skip_adder(8, 4).expect("valid adder");
+        let zero = |net: &Network| vec![Time::ZERO; net.outputs().len()];
+        const INF: i64 = i64::MAX;
+        // (circuit, required, cache, engine, calls, hits, batches,
+        // batched probes, maxima)
+        #[allow(clippy::type_complexity)]
+        let cases: Vec<(
+            &str,
+            Network,
+            Vec<Time>,
+            CacheStrategy,
+            EngineKind,
+            [usize; 4],
+            Vec<Vec<i64>>,
+        )> = vec![
+            (
+                "wide_bypass(6)",
+                wide_bypass(6),
+                vec![Time::new(4); 6],
+                CacheStrategy::Dominance,
+                EngineKind::Sat,
+                [48, 183, 58, 0],
+                vec![vec![3, 0, 0, 0, 0, 0, 0, 3], vec![2, 2, 2, 2, 2, 2, 2, 3]],
+            ),
+            (
+                "wide_bypass(6)",
+                wide_bypass(6),
+                vec![Time::new(4); 6],
+                CacheStrategy::Exact,
+                EngineKind::Bdd,
+                [53, 184, 58, 0],
+                vec![vec![3, 0, 0, 0, 0, 0, 0, 3], vec![2, 2, 2, 2, 2, 2, 2, 3]],
+            ),
+            (
+                "random seed 7",
+                rand7.clone(),
+                zero(&rand7),
+                CacheStrategy::Dominance,
+                EngineKind::Sat,
+                [144, 282, 342, 192],
+                vec![vec![-7, -7, -7, -4, -6, INF, -8, -8]],
+            ),
+            (
+                "random seed 7",
+                rand7.clone(),
+                zero(&rand7),
+                CacheStrategy::Exact,
+                EngineKind::Sat,
+                [753, 94, 872, 0],
+                vec![vec![-7, -7, -7, -4, -6, INF, -8, -8]],
+            ),
+            (
+                "carry-skip 8/4",
+                csa.clone(),
+                zero(&csa),
+                CacheStrategy::Dominance,
+                EngineKind::Sat,
+                [324, 858, 517, 276],
+                vec![vec![
+                    -17, -15, -13, -11, -10, -8, -6, -4, -17, -15, -13, -11, -10, -8, -6, -4, -8,
+                ]],
+            ),
+            (
+                "c17",
+                c17(),
+                vec![Time::new(3); 2],
+                CacheStrategy::Dominance,
+                EngineKind::Sat,
+                [5, 35, 8, 0],
+                vec![vec![1, 1, 0, 0, 1]],
+            ),
+        ];
+        for (name, net, req, cache, engine, counts, maxima) in cases {
+            let r = approx2_required_times(
                 &net,
                 &UnitDelay,
                 &req,
                 Approx2Options {
-                    threads,
+                    threads: 1,
+                    cache,
+                    engine,
                     ..Approx2Options::default()
                 },
-            )
-        };
-        let seq = run(1);
-        let par = run(4);
-        std::env::remove_var("XRTA_OVERSUBSCRIBE");
-        assert!(
-            seq.oracle_calls >= WARMUP_ORACLE_CALLS,
-            "circuit too small to engage helpers ({} calls)",
-            seq.oracle_calls
-        );
-        assert_eq!(seq.maximal, par.maximal);
-        assert_eq!(seq.candidates, par.candidates);
-        assert_eq!(seq.r_bottom, par.r_bottom);
-        assert!(
-            par.oracle_calls <= seq.oracle_calls + seq.oracle_calls / 10,
-            "parallel oracle calls {} exceed sequential {} by more than 10%",
-            par.oracle_calls,
-            seq.oracle_calls
-        );
+            );
+            let got: Vec<Vec<i64>> = r
+                .maximal
+                .iter()
+                .map(|m| {
+                    m.iter()
+                        .map(|t| if t.is_inf() { INF } else { t.ticks() })
+                        .collect()
+                })
+                .collect();
+            assert_eq!(
+                [r.oracle_calls, r.cache_hits, r.batches, r.batched_probes],
+                counts,
+                "{name} ({cache:?}, {engine:?}): calls, hits, batches, batched probes"
+            );
+            assert_eq!(got, maxima, "{name} ({cache:?}, {engine:?}): maxima");
+            assert!(r.completed, "{name}");
+        }
     }
 
     #[test]
-    fn trivial_circuit_never_spawns_helpers() {
-        // The whole climb on this circuit needs far fewer oracle calls
-        // than the warm-up threshold, so the search must run entirely
-        // on the calling thread: no steals, no batched hand-offs.
-        let net = mux_false_path();
-        let r = approx2_required_times(
-            &net,
-            &UnitDelay,
-            &[Time::new(4)],
-            Approx2Options {
-                threads: 4,
-                ..Approx2Options::default()
-            },
-        );
-        assert!(r.oracle_calls < WARMUP_ORACLE_CALLS);
-        assert_eq!(r.steals, 0, "cold search must not engage the pool");
+    fn reclaim_frees_cone_stores_but_respects_the_floor() {
+        let t = |v: &[i64]| -> Vec<Time> { v.iter().map(|&x| Time::new(x)).collect() };
+        let mut stores: Vec<ConeStore> = (0..4)
+            .map(|_| ConeStore::new(CacheStrategy::Exact))
+            .collect();
+        stores[0].insert(&t(&[1, 2]), true);
+        // Below the floor: the sweep is a no-op and verdicts survive.
+        assert_eq!(reclaim(&mut stores), 0);
+        assert_eq!(stores[0].query(&t(&[1, 2])), Some(true));
+        // Push past the floor, then the sweep really clears.
+        let needed = (RECLAIM_FLOOR_BYTES / ENTRY_BASE_BYTES) as i64 + 1;
+        for i in 0..needed {
+            stores[(i % 4) as usize].insert(&t(&[i, i + 1]), true);
+        }
+        assert!(reclaim(&mut stores) >= RECLAIM_FLOOR_BYTES);
+        assert_eq!(stores[0].query(&t(&[1, 2])), None, "verdicts were swept");
+        assert!(stores.iter().all(|s| s.bytes == 0));
     }
 }

@@ -127,18 +127,6 @@ impl SpliceReport {
     }
 }
 
-const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-const FNV_PRIME: u128 = 0x0000000001000000000000000000013b;
-
-fn fnv128(bytes: &[u8]) -> u128 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u128;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// Truth-table bits as hex nibbles, minterm 0 in the lowest bit.
 fn table_hex(t: &TruthTable) -> String {
     let minterms = 1usize << t.var_count();
@@ -252,7 +240,7 @@ fn slice_one<D: DelayModel>(
         map.insert(id, new);
     }
     cone.mark_output(map[&root]);
-    let fingerprint = fnv128(descriptor.as_bytes());
+    let fingerprint = xrta_robust::fnv::fnv1a128(descriptor.as_bytes());
     ConeSlice {
         output,
         fingerprint,
@@ -345,6 +333,24 @@ mod tests {
     use xrta_timing::{topological_delays, UnitDelay};
 
     use crate::approx2::{approx2_required_times, Approx2Options};
+
+    /// Fingerprints key the serve cone cache: their bits are pinned.
+    #[test]
+    fn c17_fingerprints_are_pinned() {
+        let net = c17();
+        let req = vec![Time::new(3); net.outputs().len()];
+        let got: Vec<String> = slice_cones(&net, &UnitDelay, &req)
+            .iter()
+            .map(|s| format!("{:032x}", s.fingerprint))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                "c4c5fa7e0e0603c71e297411fb52a16c",
+                "e803b8c2fc0961931e2973e0c814e7b6"
+            ]
+        );
+    }
 
     /// Rebuilds `net` with the primary inputs declared in reverse order
     /// and every node renamed — structure, outputs and delays intact.

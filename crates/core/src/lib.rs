@@ -64,12 +64,10 @@ mod flex;
 pub mod governor;
 mod leaves;
 mod macro_model;
-mod oracle_pool;
 mod plan;
 pub mod report;
 pub mod session;
 mod slack;
-pub mod stripes;
 mod types;
 
 pub use approx1::{
@@ -97,6 +95,5 @@ pub use session::{
     Verdict,
 };
 pub use slack::{true_slack, TrueSlack};
-pub use stripes::{support_fingerprint, Claim, StripedVerdictCache};
 pub use types::{RequiredTimeTuple, ValueTimes};
 pub use xrta_robust::failpoint;

@@ -84,13 +84,8 @@ pub fn render_approx2(net: &Network, result: &Approx2Result) -> String {
     );
     let _ = writeln!(
         out,
-        "oracle: {} steal(s), {} contended stripe(s), {} batch(es) \
-         ({} batched probe(s)), {} speculative probe(s)",
-        result.steals,
-        result.shard_contention,
-        result.batches,
-        result.batched_probes,
-        result.spec_probes
+        "oracle: {} batch(es) ({} batched probe(s))",
+        result.batches, result.batched_probes
     );
     let _ = writeln!(out, "input | topological | maximal points");
     for (pos, &pi) in net.inputs().iter().enumerate() {

@@ -326,6 +326,20 @@ OUTPUT(23)
     }
 
     #[test]
+    fn zero_fanin_constants_parse() {
+        let net = parse_bench(
+            "INPUT(a)\nOUTPUT(y)\nOUTPUT(z)\nk = CONST1()\ny = AND(a, k)\nz = CONST0()\n",
+        )
+        .unwrap();
+        assert_eq!(net.eval(&[true]), vec![true, false]);
+        assert_eq!(net.eval(&[false]), vec![false, false]);
+        assert!(matches!(
+            parse_bench("INPUT(a)\nOUTPUT(k)\nk = CONST0(a)\n"),
+            Err(ParseBenchError::Syntax(3, _))
+        ));
+    }
+
+    #[test]
     fn parse_out_of_order_definitions() {
         let net = parse_bench("INPUT(a)\nOUTPUT(y)\ny = NOT(t)\nt = BUF(a)\n").unwrap();
         assert_eq!(net.eval(&[true]), vec![false]);

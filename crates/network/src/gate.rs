@@ -172,6 +172,8 @@ impl GateKind {
             "XOR" => Some(GateKind::Xor),
             "XNOR" => Some(GateKind::Xnor),
             "MUX" => Some(GateKind::Mux),
+            "CONST0" => Some(GateKind::Const0),
+            "CONST1" => Some(GateKind::Const1),
             _ => None,
         }
     }
@@ -256,6 +258,7 @@ mod tests {
         assert_eq!(GateKind::parse("nand"), Some(GateKind::Nand));
         assert_eq!(GateKind::parse("BUFF"), Some(GateKind::Buf));
         assert_eq!(GateKind::parse("INV"), Some(GateKind::Not));
+        assert_eq!(GateKind::parse("const1"), Some(GateKind::Const1));
         assert_eq!(GateKind::parse("frob"), None);
     }
 

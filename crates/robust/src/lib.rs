@@ -13,6 +13,8 @@
 //!   can reconstruct exactly what it had durably recorded.
 //! * [`backoff`] — capped exponential retry backoff with deterministic
 //!   jitter drawn from [`xrta_rng`].
+//! * [`fnv`] — FNV-1a in 64 and 128 bits, the content hash behind
+//!   cache keys, ring points, cone fingerprints and failpoint dice.
 //! * [`jsonflat`] — the one-level JSON record dialect every wire and
 //!   disk format in the workspace speaks (journal records, batch
 //!   reports, the serve protocol).
@@ -27,6 +29,7 @@
 
 pub mod backoff;
 pub mod failpoint;
+pub mod fnv;
 pub mod fsio;
 pub mod journal;
 pub mod jsonflat;

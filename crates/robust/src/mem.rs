@@ -43,7 +43,7 @@ pub enum Subsystem {
     Sat,
     /// χ memoization tables (`xrta-chi`).
     ChiMemo,
-    /// Striped verdict cache (`xrta-core::stripes`).
+    /// The §4.3 oracle's per-cone verdict stores (`xrta-core` approx2).
     Stripes,
     /// Cone slices and splice state (`xrta-core::cone`).
     Cone,

@@ -13,19 +13,12 @@
 /// a few percent for the cluster sizes this tier targets (2–32).
 pub const VNODES: usize = 64;
 
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x00000100000001b3;
-
 /// FNV-1a over raw bytes, then a splitmix-style finalizer. Plain FNV
 /// avalanches too weakly for near-identical short labels like
 /// `"host:port#0" … "host:port#63"` — without the finalizer the vnode
 /// points cluster and shard loads skew several-fold.
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
+    let mut h = xrta_robust::fnv::fnv1a64(bytes);
     h ^= h >> 33;
     h = h.wrapping_mul(0xff51afd7ed558ccd);
     h ^= h >> 33;
@@ -106,6 +99,13 @@ mod tests {
             order.sort_unstable();
             assert_eq!(order, vec![0, 1, 2, 3, 4]);
         }
+    }
+
+    /// Ring points decide shard placement across a rolling upgrade:
+    /// FNV-1a plus the finalizer must keep its exact bits.
+    #[test]
+    fn ring_point_bits_are_pinned() {
+        assert_eq!(fnv64(b"127.0.0.1:7000#0"), 0xd65f_a4ca_5d4f_beaf);
     }
 
     #[test]

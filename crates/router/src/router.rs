@@ -775,8 +775,6 @@ fn aggregate_stats(inner: &Arc<Inner>) -> Response {
         total.errors += s.errors;
         total.in_flight += s.in_flight;
         total.queue_depth += s.queue_depth;
-        total.oracle_steals += s.oracle_steals;
-        total.oracle_contention += s.oracle_contention;
         total.oracle_batches += s.oracle_batches;
         total.cone_hits += s.cone_hits;
         total.cone_misses += s.cone_misses;

@@ -17,6 +17,7 @@ use std::path::{Path, PathBuf};
 
 use xrta_chi::EngineKind;
 use xrta_core::Verdict;
+use xrta_robust::fnv;
 use xrta_robust::journal::{encode_record, parse_record};
 use xrta_robust::mem::{self, Subsystem};
 use xrta_timing::tokens::encode_times;
@@ -26,9 +27,6 @@ use xrta_timing::Time;
 /// the same key are guaranteed the same answer bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CacheKey(u128);
-
-const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-const FNV_PRIME: u128 = 0x0000000001000000000000000000013b;
 
 impl CacheKey {
     /// Hashes the analysis-shaping inputs. `hold_ms` and budget wishes
@@ -44,16 +42,11 @@ impl CacheKey {
         engine: EngineKind,
         budget_tag: &str,
     ) -> CacheKey {
-        let mut h = FNV_OFFSET;
+        let mut h = fnv::OFFSET128;
         let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u128::from(b);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
             // Field separator: an out-of-band byte value so that
             // ("ab","c") and ("a","bc") hash differently.
-            h ^= 0x1f;
-            h = h.wrapping_mul(FNV_PRIME);
+            h = fnv::fold128(fnv::fold128(h, bytes), &[0x1f]);
         };
         eat(netlist.as_bytes());
         eat(delay_model.as_bytes());
@@ -313,6 +306,21 @@ mod tests {
             EngineKind::Sat,
             "",
         )
+    }
+
+    /// Disk entries are named by key: a key must never change bits
+    /// across versions, or every warm cache goes cold.
+    #[test]
+    fn key_bits_are_pinned() {
+        let k = CacheKey::compute(
+            "INPUT(a)\nOUTPUT(a)\n",
+            "unit",
+            &[Time::new(3), Time::INF],
+            Verdict::Exact,
+            EngineKind::Sat,
+            "t=1",
+        );
+        assert_eq!(k.hex(), "da8a545cb02b939b77b95204905cb42b");
     }
 
     #[test]

@@ -681,8 +681,6 @@ fn compute(
                 let add = |c: &AtomicU64, v: usize| {
                     c.fetch_add(v as u64, Ordering::Relaxed);
                 };
-                add(&shared.stats.oracle_steals, r.steals);
-                add(&shared.stats.oracle_contention, r.shard_contention);
                 add(&shared.stats.oracle_batches, r.batches);
             }
             let digest = report.digest();

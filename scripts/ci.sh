@@ -303,11 +303,12 @@ wait "$route_pid"
 wait "$shard1_pid" || true
 rm -rf "$cdir"
 
-# Scaling gate: the work-stealing oracle must never make threads a
-# regression. Run table2's C3540 row at 1 and 4 oracle threads and fail
-# if the 4-thread wall exceeds the 1-thread wall beyond container noise
-# (worker slots clamp to the host's cores, so on a single-core runner
-# the two schedules are identical and this checks pure overhead).
+# Scaling gate: the oracle's parallel validation rounds must never make
+# threads a regression. Run table2's C3540 row at 1 and 4 oracle threads
+# and fail if the 4-thread wall exceeds the 1-thread wall beyond
+# container noise (workers clamp to the host's cores, so on a
+# single-core runner the two schedules are identical and this checks
+# pure overhead).
 echo "==> scaling gate: C3540 @4 threads must not lose to @1"
 gdir="/tmp/xrta-ci-scale-$$"
 mkdir -p "$gdir"

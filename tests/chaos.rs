@@ -110,10 +110,19 @@ fn build_suite(dir: &Path) -> (PathBuf, HashMap<String, Network>) {
         };
         nets.push((format!("rand{seed}"), random_circuit(spec).unwrap()));
     }
+    // A netlist that cannot load: its jobs fail permanently, so the
+    // crash/resume contracts below always see terminal failure records
+    // (the fault schedule alone degrades jobs rather than failing them).
+    let broken = dir.join("broken.bench");
+    std::fs::write(&broken, "INPUT(a)\nOUTPUT(y)\ny = AND(a, missing)\n").unwrap();
     let mut by_path = HashMap::new();
     let mut manifest = String::new();
     let algos = ["approx2", "approx2", "exact", "approx1", "topo"];
     for k in 0..JOBS {
+        if k % 25 == 24 {
+            manifest.push_str(&format!("{} algo=approx2\n", broken.display()));
+            continue;
+        }
         let (name, net) = &nets[k % nets.len()];
         let path = dir.join(format!("{name}.bench"));
         if !path.exists() {
